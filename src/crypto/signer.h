@@ -14,9 +14,9 @@ namespace qanaat {
 
 /// A signature over a digest by one node, ⟨m⟩_σi in the paper's notation.
 ///
-/// Substitution note (see DESIGN.md §2): instead of ECDSA over a PKI we use
-/// a deterministic keyed digest, tag = SHA-256(secret_key(i) ‖ digest)
-/// truncated to 16 bytes. Unforgeability holds against the simulated
+/// Substitution note (see README "Crypto substitution"): instead of ECDSA
+/// over a PKI we use a deterministic 16-byte PRF tag over the digest,
+/// keyed by secret_key(i). Unforgeability holds against the simulated
 /// adversary because secret keys never leave the KeyStore; protocol code
 /// only ever observes sign/verify outcomes, exactly as with real
 /// signatures.

@@ -203,6 +203,34 @@ Status SafetyAuditor::AuditQanaat(QanaatSystem& sys, bool full,
       }
     }
   }
+
+  // 6. Cross-instance bookkeeping: the live set every flattened commit
+  // walks for arbitration losers holds exactly the instances a node has
+  // not finished. A finished instance left in it costs scan time; an
+  // unfinished one missing from it could never be aborted as a loser.
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    const ClusterConfig& cc = sys.directory().Cluster(c);
+    for (size_t i = 0; i < cc.ordering.size(); ++i) {
+      const OrderingNode* node = sys.ordering_node(c, static_cast<int>(i));
+      const auto& live = node->live_cross_states();
+      size_t unfinished = 0;
+      for (const auto& [d, xs] : node->cross_states()) {
+        if (xs.done) continue;
+        ++unfinished;
+        if (!live.count(d)) {
+          return Status::Internal("unfinished cross instance missing from " +
+                                  NodeLabel(cc.ordering[i]) +
+                                  "'s live set");
+        }
+      }
+      if (live.size() != unfinished) {
+        return Status::Internal(
+            NodeLabel(cc.ordering[i]) + " has " +
+            std::to_string(live.size()) + " live cross instances but " +
+            std::to_string(unfinished) + " unfinished");
+      }
+    }
+  }
   return Status::Ok();
 }
 

@@ -110,7 +110,9 @@ class SafetyAuditor {
   ///    same digests) AND an identical multi-versioned store per chain
   ///    (state identity). Since the checkpoint/state-transfer subsystem
   ///    the chaos corpus passes an EMPTY exclusion set: recovered
-  ///    replicas converge too, not just stay prefix-consistent.
+  ///    replicas converge too, not just stay prefix-consistent;
+  ///  * every ordering node's live cross-instance set equals the
+  ///    unfinished entries of its instance table.
   static Status AuditQanaat(QanaatSystem& sys, bool full,
                             const std::set<NodeId>* converged_except);
 

@@ -105,28 +105,6 @@ LoadPoint RunQanaatPoint(const QanaatRunConfig& cfg, double offered_tps) {
   return p;
 }
 
-SweepResult SaturationSweep(
-    const std::function<LoadPoint(double)>& run_point, double start_tps,
-    double growth, int max_points) {
-  SweepResult result;
-  double offered = start_tps;
-  double base_latency = -1;
-  for (int i = 0; i < max_points; ++i) {
-    LoadPoint p = run_point(offered);
-    result.curve.push_back(p);
-    if (base_latency < 0 && p.avg_latency_ms > 0) {
-      base_latency = p.avg_latency_ms;
-    }
-    bool saturated =
-        p.measured_tps < 0.85 * p.offered_tps ||
-        (base_latency > 0 && p.avg_latency_ms > 12.0 * base_latency);
-    if (saturated) break;
-    offered *= growth;
-  }
-  result.knee = PickKnee(result.curve);
-  return result;
-}
-
 SweepResult SmartSweep(const std::function<LoadPoint(double)>& run_point,
                        double capacity_guess) {
   // Bracket the saturation knee starting from a calibrated guess: step
@@ -231,20 +209,6 @@ LoadPoint RunFabricPoint(const FabricRunConfig& cfg, double offered_tps) {
   p.avg_latency_ms = lat.Mean() / 1000.0;
   p.p99_latency_ms = static_cast<double>(lat.Percentile(0.99)) / 1000.0;
   return p;
-}
-
-SweepResult SweepFabric(const FabricRunConfig& cfg, double start_tps,
-                        double growth, int max_points) {
-  return SaturationSweep(
-      [&cfg](double tps) { return RunFabricPoint(cfg, tps); }, start_tps,
-      growth, max_points);
-}
-
-SweepResult SweepQanaat(const QanaatRunConfig& cfg, double start_tps,
-                        double growth, int max_points) {
-  return SaturationSweep(
-      [&cfg](double tps) { return RunQanaatPoint(cfg, tps); }, start_tps,
-      growth, max_points);
 }
 
 void PrintCurveHeader(const std::string& series_name) {

@@ -73,17 +73,6 @@ struct FabricRunConfig {
 /// counts only transactions that pass MVCC validation.
 LoadPoint RunFabricPoint(const FabricRunConfig& cfg, double offered_tps);
 
-/// Convenience: sweep a Fabric configuration.
-SweepResult SweepFabric(const FabricRunConfig& cfg, double start_tps,
-                        double growth = 1.6, int max_points = 10);
-
-/// Generic saturation sweep over any point-runner: geometrically
-/// increases offered load until measured throughput stops tracking it
-/// (or latency explodes), and reports the knee.
-SweepResult SaturationSweep(
-    const std::function<LoadPoint(double)>& run_point, double start_tps,
-    double growth = 1.6, int max_points = 10);
-
 /// Two-phase sweep (cheaper; used by the bench binaries): first
 /// over-drives the system at `capacity_guess` to measure its plateau
 /// throughput, then measures the curve at ~{0.5, 0.75, 0.92} of the
@@ -100,10 +89,6 @@ SweepResult SmartSweep(const std::function<LoadPoint(double)>& run_point,
 SweepResult PlateauSweep(const std::function<LoadPoint(double)>& run_point,
                          double start_tps, double growth = 1.7,
                          int max_points = 7);
-
-/// Convenience: sweep a Qanaat configuration.
-SweepResult SweepQanaat(const QanaatRunConfig& cfg, double start_tps,
-                        double growth = 1.6, int max_points = 10);
 
 /// Printer helpers shared by the bench binaries.
 void PrintCurveHeader(const std::string& series_name);

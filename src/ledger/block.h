@@ -82,8 +82,9 @@ using BlockPtr = std::shared_ptr<const Block>;
 /// use this instead of an inner SHA-256: they only ever feed equality
 /// checks and KeyStore sign/verify, both sides derive them with the same
 /// deterministic function, and unforgeability still rests entirely on the
-/// KeyStore's secret key — so the substitution argument of DESIGN.md §2
-/// is unchanged while the sim-core hot path drops most of its SHA cost.
+/// KeyStore's secret key — so the substitution argument (README "Crypto
+/// substitution") is unchanged while the sim-core hot path drops most of
+/// its SHA cost.
 /// Content digests (transactions, blocks, results) remain real SHA-256.
 Sha256Digest DeriveDigest(uint64_t salt, uint64_t a, uint64_t b,
                           const Sha256Digest& parent);

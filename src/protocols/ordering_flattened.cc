@@ -213,7 +213,7 @@ void OrderingNode::SendFAccept(XState& xs) {
   if (mine != xs.assignments.end()) {
     const LocalPart& alpha = mine->second.alpha;
     ShardRef ref{alpha.collection, alpha.shard};
-    std::pair<ShardRef, SeqNo> slot{ref, alpha.n};
+    Slot slot{ref, alpha.n};
     auto claim = validated_digest_.find(slot);
     if (claim != validated_digest_.end()) {
       if (claim->second != xs.digest) {
@@ -381,8 +381,7 @@ void OrderingNode::MaybeSendFCommit(XState& xs) {
   auto here = xs.assignments.find(cfg_.shard);
   if (here != xs.assignments.end()) {
     const LocalPart& alpha = here->second.alpha;
-    std::pair<ShardRef, SeqNo> slot{ShardRef{alpha.collection, alpha.shard},
-                                    alpha.n};
+    Slot slot{ShardRef{alpha.collection, alpha.shard}, alpha.n};
     auto endorsed = validated_digest_.find(slot);
     auto locked = commit_locked_.find(slot);
     if ((endorsed != validated_digest_.end() &&

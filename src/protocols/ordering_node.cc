@@ -800,7 +800,9 @@ bool OrderingNode::HasCrossShardConflict(
 }
 
 OrderingNode::XState& OrderingNode::StateFor(const Sha256Digest& d) {
-  XState& xs = xstates_[d];
+  auto [it, fresh] = xstates_.try_emplace(d);
+  XState& xs = it->second;
+  if (fresh) live_xstates_.insert(d);  // live until FinishCross
   if (xs.started_at == 0) xs.started_at = now();
   xs.digest = d;
   return xs;
@@ -817,6 +819,7 @@ void OrderingNode::ArmCrossTimer(const Sha256Digest& d) {
 
 void OrderingNode::FinishCross(XState& xs, bool committed) {
   xs.done = true;
+  live_xstates_.erase(xs.digest);
   if (xs.pinned) {
     xs.pinned = false;
     UnpinCross(xs.block);
@@ -858,8 +861,7 @@ void OrderingNode::FinishCross(XState& xs, bool committed) {
     // switch the slot entry holds the rival winner's digest, and erasing
     // it would let a third claim sneak into a decided slot.
     for (const auto& [shard, a] : xs.assignments) {
-      std::pair<ShardRef, SeqNo> slot{
-          ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
+      Slot slot{ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
       auto claim = validated_digest_.find(slot);
       if (claim != validated_digest_.end() && claim->second == xs.digest) {
         validated_digest_.erase(claim);
@@ -900,20 +902,21 @@ void OrderingNode::RequeueArbitrationLosers(const XState& winner) {
   // mutate xstates_ (deferred re-admission inserts fresh instances),
   // which would invalidate references into the table.
   const Sha256Digest winner_digest = winner.digest;
-  std::vector<std::pair<ShardRef, SeqNo>> slots;
+  std::vector<Slot> slots;
   slots.reserve(winner.assignments.size());
   for (const auto& [shard, a] : winner.assignments) {
     slots.push_back(
         {ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n});
   }
-  // xstates_ is a hashed container — collect matches, then order the
-  // losers by digest so the abort (and retry) schedule is deterministic.
+  // Only live instances can lose. live_xstates_ is a hashed container —
+  // collect matches, then order the losers by digest so the abort (and
+  // retry) schedule is deterministic.
   std::vector<Sha256Digest> losers;
-  for (const auto& [d, rival] : xstates_) {
-    if (rival.done || d == winner_digest) continue;
+  for (const Sha256Digest& d : live_xstates_) {
+    if (d == winner_digest) continue;
+    const XState& rival = xstates_.find(d)->second;
     for (const auto& [shard, a] : rival.assignments) {
-      std::pair<ShardRef, SeqNo> slot{
-          ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
+      Slot slot{ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
       if (std::find(slots.begin(), slots.end(), slot) != slots.end()) {
         losers.push_back(d);
         break;

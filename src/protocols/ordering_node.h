@@ -64,6 +64,14 @@ class OrderingNode : public Actor {
     return arbitration_loser_txs_;
   }
 
+  /// Introspection for the safety auditor: every cross instance this
+  /// node has seen (digest -> state, finished ones included), and the
+  /// digests of those still in flight. The live set is exactly the
+  /// unfinished part of the table; per-commit work walks only the live
+  /// set.
+  const auto& cross_states() const { return xstates_; }
+  const auto& live_cross_states() const { return live_xstates_; }
+
  private:
   friend class QanaatSystem;
 
@@ -301,26 +309,37 @@ class OrderingNode : public Actor {
   Batcher<Transaction, FlowKey> batcher_;
   FlatMap<CollectionId, SeqNo> state_;  // committed state (γ capture)
   FlatMap<CollectionId, SeqNo> next_seq_;
+  // A (chain, n) slot of a shared chain. The slot-claim tables below are
+  // probed by key on every cross vote and never iterated, so they are
+  // hashed.
+  using Slot = std::pair<ShardRef, SeqNo>;
+  struct SlotHash {
+    size_t operator()(const Slot& s) const {
+      uint64_t chain = (uint64_t{s.first.collection.members.mask()} << 16) |
+                       s.first.shard;
+      return static_cast<size_t>(Mix64((chain << 32) ^ s.second));
+    }
+  };
   // Validated slot claims on incoming cross-cluster IDs: which block
   // digest this node endorsed for each (chain, n). Re-votes for the same
   // digest are idempotent; a different digest claiming the same slot is
   // a conflict (nack). Aborts erase the claim so a replacement block can
   // take the slot. Keyed by digest rather than a watermark so pipelined
   // prepares tolerate out-of-order delivery.
-  std::map<std::pair<ShardRef, SeqNo>, Sha256Digest> validated_digest_;
+  std::unordered_map<Slot, Sha256Digest, SlotHash> validated_digest_;
   // Commit-vote lock (§4.3.5 arbitration safety): the one digest this
   // node has commit-voted for each slot. An endorsement may switch to a
   // lower rival digest while the slot is merely accepted, but never after
   // the commit vote — without the lock, two commit-vote majorities for
   // different digests could assemble inside one cluster. Released only by
   // a matching abort.
-  std::map<std::pair<ShardRef, SeqNo>, Sha256Digest> commit_locked_;
+  std::unordered_map<Slot, Sha256Digest, SlotHash> commit_locked_;
   // (chain, n) assignments our own cluster currently has in flight. A
   // node never endorses a remote block claiming a sequence number its
   // own cluster is still trying to commit (optimistic-mode safety,
   // §4.3.5) — until both claims are digest-comparable, at which point
   // the lower digest wins deterministically.
-  std::set<std::pair<ShardRef, SeqNo>> own_pending_;
+  std::set<Slot> own_pending_;
   // Transactions that lost a digest-priority arbitration (see
   // RequeueArbitrationLosers); kept for the chaos auditor's
   // eventual-commit invariant.
@@ -402,7 +421,14 @@ class OrderingNode : public Actor {
   };
   std::unordered_map<uint64_t, ProgressCheck, TokenHash> progress_checks_;
   uint64_t next_progress_ = 0;
+  // Every cross instance seen, finished ones included: their certified
+  // outcomes answer §4.3.4 commit queries. The protocol only probes it
+  // by digest; only the safety auditor walks it.
   std::unordered_map<Sha256Digest, XState, DigestHash> xstates_;
+  // Digests of the unfinished entries of xstates_ (inserted by StateFor,
+  // erased by FinishCross), so per-commit scans cost the number of
+  // in-flight instances rather than every instance since start.
+  std::unordered_set<Sha256Digest, DigestHash> live_xstates_;
   std::unordered_map<uint64_t, Sha256Digest, TokenHash> cross_timer_digest_;
   uint64_t next_cross_timer_ = 0;
   // Blocks whose client replies this cluster owns (initiator side).

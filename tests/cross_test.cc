@@ -3,9 +3,13 @@
 // re-proposal, and the firewall-routed StateRequest/StateReply path a
 // gapped execution node uses to converge.
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "harness/chaos.h"
+#include "harness/corpus.h"
 #include "qanaat/system.h"
 
 namespace qanaat {
@@ -15,12 +19,14 @@ namespace {
 class ClientStub : public Actor {
  public:
   explicit ClientStub(Env* env) : Actor(env, "client-stub") {}
-  void OnMessage(NodeId, const MessageRef& msg) override {
+  void OnMessage(NodeId from, const MessageRef& msg) override {
     if (msg->type == MsgType::kReply || msg->type == MsgType::kReplyCert) {
       ++replies;
     }
+    if (msg->type == MsgType::kReplyCert) cert_senders.push_back(from);
   }
   int replies = 0;
+  std::vector<NodeId> cert_senders;
 };
 
 // --------------------------------------- §4.3.5 arbitration symmetry
@@ -115,6 +121,84 @@ TEST(ArbitrationTest, LateRivalYieldsToCommittedWinner) {
   // it: the lock wins, the latecomer loses and re-proposes behind it.
   uint64_t winner = RunRivalry(10 * kMillisecond, 30 * kMillisecond);
   EXPECT_EQ(winner, 1u) << "a committed claim was unseated by a late rival";
+}
+
+// ------------------------------------------ live cross-instance set
+
+/// Instances in flight across every ordering node of the deployment.
+size_t LiveCrossInstances(QanaatSystem& sys) {
+  size_t live = 0;
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    for (size_t i = 0; i < sys.directory().Cluster(c).ordering.size(); ++i) {
+      live += sys.ordering_node(c, static_cast<int>(i))
+                  ->live_cross_states()
+                  .size();
+    }
+  }
+  return live;
+}
+
+TEST(LiveCrossSetTest, TracksUnfinishedInstancesThroughArbitration) {
+  // The rivalry scenario stepped in 5ms slices: the auditor compares each
+  // node's live set with the unfinished entries of its instance table
+  // after every slice — while both rival instances are in flight, after
+  // the loser aborts, and once everything has settled.
+  QanaatSystem::Options so;
+  so.params.num_enterprises = 2;
+  so.params.shards_per_enterprise = 1;
+  so.params.failure_model = FailureModel::kCrash;
+  so.params.family = ProtocolFamily::kFlattened;
+  so.params.designated_coordinator = false;
+  so.seed = 3;
+  so.cluster_regions = {0, 1};
+  QanaatSystem sys(std::move(so));
+  sys.net().SetRtt(0, 1, 100 * kMillisecond);
+  ClientStub stub(&sys.env());
+  CollectionId shared(EnterpriseSet{0, 1});
+  for (EnterpriseId e : {0, 1}) {
+    auto req = std::make_shared<RequestMsg>();
+    req->tx.client = stub.id();
+    req->tx.client_ts = e + 1;
+    req->tx.collection = shared;
+    req->tx.shards = {0};
+    req->tx.initiator = e;
+    req->tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 1, 5, {}});
+    req->tx.client_sig = sys.env().keystore.Sign(stub.id(), req->tx.Digest());
+    sys.net().Send(stub.id(), sys.directory().Cluster(e).InitialPrimary(),
+                   req);
+  }
+  size_t peak_live = 0;
+  for (SimTime t = 5 * kMillisecond; t <= 2 * kSecond;
+       t += 5 * kMillisecond) {
+    sys.env().sim.Run(t);
+    Status st = SafetyAuditor::AuditQanaat(sys, false, nullptr);
+    ASSERT_TRUE(st.ok()) << "t=" << t << ": " << st.ToString();
+    peak_live = std::max(peak_live, LiveCrossInstances(sys));
+  }
+  EXPECT_GT(sys.env().metrics.Get("cross.arbitration_loser"), 0u);
+  EXPECT_GT(peak_live, 0u);
+  EXPECT_EQ(LiveCrossInstances(sys), 0u) << "settled instances still live";
+}
+
+TEST(LiveCrossSetTest, CorpusRunsKeepTheInvariantAtEveryAudit) {
+  // The same check runs inside every periodic and final chaos audit. The
+  // cross-conflict profile on both Qanaat stacks (rival claims on
+  // shared-chain slots) and the two rotation runs whose arbitration
+  // aborts the most losers must pass it.
+  const CorpusEntry entries[] = {
+      {ChaosStack::kQanaatPbft, kConflictSeedBase + 3,
+       AdversaryKind::kCrossConflict},
+      {ChaosStack::kQanaatPaxos, kConflictSeedBase + 3,
+       AdversaryKind::kCrossConflict},
+      {ChaosStack::kQanaatPbft, 47, AdversaryKind::kSelectiveSilence},
+      {ChaosStack::kQanaatPaxos, 23, AdversaryKind::kSelectiveSilence},
+  };
+  for (const CorpusEntry& e : entries) {
+    ChaosReport r = RunChaos(EntryOptions(e));
+    EXPECT_TRUE(r.safety.ok()) << ReproCommand(e) << ": "
+                               << r.safety.ToString();
+    EXPECT_GT(r.audits, 1u) << ReproCommand(e);
+  }
 }
 
 // ----------------------------- pull-based executor state transfer
@@ -219,6 +303,47 @@ TEST(ExecutorPullTest, FiltersDropPullsNotFromAnExecutionNode) {
 
   EXPECT_GE(sys.env().metrics.Get("firewall.filtered_bad_pull"), 1u);
   EXPECT_EQ(sys.env().metrics.Get("order.state_served"), 0u);
+}
+
+// ---------------------------------- reply-certificate retransmission
+
+TEST(ReplyCacheTest, BackupAnswersRetransmissionWithCachedCertificate) {
+  // Firewall mode: reply certificates come back down the filter rows to
+  // every ordering node, and each caches them. A client retransmission
+  // that lands on a backup is answered from that cache directly, without
+  // relaying to the primary.
+  QanaatSystem::Options opts;
+  opts.params = FirewallParams();
+  opts.seed = 17;
+  QanaatSystem sys(std::move(opts));
+  ClientStub stub(&sys.env());
+  const ClusterConfig& cc = sys.directory().Cluster(0);
+
+  auto req = std::make_shared<RequestMsg>();
+  req->tx.client = stub.id();
+  req->tx.client_ts = 1;
+  req->tx.collection = CollectionId(EnterpriseSet{0});
+  req->tx.shards = {0};
+  req->tx.initiator = 0;
+  req->tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 1, 5, {}});
+  req->tx.client_sig = sys.env().keystore.Sign(stub.id(), req->tx.Digest());
+  sys.net().Send(stub.id(), cc.InitialPrimary(), req);
+  sys.env().sim.Run(500 * kMillisecond);
+  // The primary forwards each certificate a bottom-row filter sends it.
+  const size_t first_round = stub.cert_senders.size();
+  ASSERT_GT(first_round, 0u);
+  for (NodeId n : stub.cert_senders) EXPECT_EQ(n, cc.InitialPrimary());
+
+  NodeId backup = cc.ordering[1];
+  ASSERT_NE(backup, cc.InitialPrimary());
+  auto retransmission = std::make_shared<RequestMsg>(*req);
+  retransmission->is_retransmission = true;
+  sys.net().Send(stub.id(), backup, retransmission);
+  sys.env().sim.Run(1000 * kMillisecond);
+  ASSERT_EQ(stub.cert_senders.size(), first_round + 1);
+  EXPECT_EQ(stub.cert_senders.back(), backup);
+  // Answered from the cache: nothing was relayed to the primary.
+  EXPECT_EQ(sys.env().metrics.Get("order.duplicate_request"), 0u);
 }
 
 }  // namespace
