@@ -8,7 +8,6 @@ PaxosEngine::PaxosEngine(EngineContext ctx, int f, SimTime base_timeout_us)
     : InternalConsensus(std::move(ctx)),
       f_(f),
       base_timeout_(base_timeout_us) {
-  slots_.reserve(1 << 12);
   // Ballot 0 belongs to index 0 with an empty history: it leads from the
   // start without a phase-1.
   leading_ = (ctx_.cluster[0] == ctx_.self);

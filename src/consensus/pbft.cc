@@ -7,9 +7,7 @@ namespace qanaat {
 PbftEngine::PbftEngine(EngineContext ctx, int f, SimTime base_timeout_us)
     : InternalConsensus(std::move(ctx)),
       f_(f),
-      base_timeout_(base_timeout_us) {
-  slots_.reserve(1 << 12);
-}
+      base_timeout_(base_timeout_us) {}
 
 Sha256Digest PbftEngine::SignableDigest(
     ViewNo v, uint64_t slot, const Sha256Digest& value_digest) const {

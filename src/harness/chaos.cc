@@ -208,6 +208,7 @@ Status SafetyAuditor::AuditQanaat(QanaatSystem& sys, bool full,
   // walks for arbitration losers holds exactly the instances a node has
   // not finished. A finished instance left in it costs scan time; an
   // unfinished one missing from it could never be aborted as a loser.
+  // A finished instance keeps its certified outcome and no votes.
   for (int c = 0; c < sys.cluster_count(); ++c) {
     const ClusterConfig& cc = sys.directory().Cluster(c);
     for (size_t i = 0; i < cc.ordering.size(); ++i) {
@@ -215,7 +216,14 @@ Status SafetyAuditor::AuditQanaat(QanaatSystem& sys, bool full,
       const auto& live = node->live_cross_states();
       size_t unfinished = 0;
       for (const auto& [d, xs] : node->cross_states()) {
-        if (xs.done) continue;
+        if (xs.done) {
+          if (!xs.HoldsNoVotes()) {
+            return Status::Internal("finished cross instance on " +
+                                    NodeLabel(cc.ordering[i]) +
+                                    " still holds votes");
+          }
+          continue;
+        }
         ++unfinished;
         if (!live.count(d)) {
           return Status::Internal("unfinished cross instance missing from " +

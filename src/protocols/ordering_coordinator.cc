@@ -83,20 +83,27 @@ void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
   int coord = CoordinatorClusterOf(probe.collection, probe.shards);
   xs.i_coordinate = (coord == cfg_.cluster_id);
 
+  CommitCertificate order_cert =
+      MakeCert(slot, v.block_digest, ConsensusValue::Kind::kXOrder);
+  // A lagging replica can decide its kXOrder after it learned the
+  // outcome. The messages below still go out, but a finished instance
+  // keeps no votes.
+  if (!xs.done) {
+    if (xs.i_coordinate) xs.prepared_clusters.Insert(cfg_.cluster_id);
+    xs.order_cert = order_cert;
+    xs.order_cert_known = true;
+  }
+
   if (xs.i_coordinate) {
     // Phase 1 done: the coordinator cluster agreed on the order. The
     // primary sends PREPARE (signed by local-majority: the commit
     // certificate of the internal consensus) to all involved clusters.
-    xs.prepared_clusters.insert(cfg_.cluster_id);
-    xs.order_cert = MakeCert(slot, v.block_digest,
-                             ConsensusValue::Kind::kXOrder);
-    xs.order_cert_known = true;
     if (!engine_->IsPrimary()) return;
     auto prep = std::make_shared<XPrepareMsg>();
     prep->coord_cluster = cfg_.cluster_id;
     prep->block = v.block;
     prep->block_digest = v.block_digest;
-    prep->coord_cert = xs.order_cert;
+    prep->coord_cert = std::move(order_cert);
     prep->wire_bytes = 160 + v.block->WireSize() + prep->coord_cert.WireSize();
     prep->sig_verify_ops =
         static_cast<uint16_t>(prep->coord_cert.sigs.size());
@@ -113,9 +120,6 @@ void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
   // the locally assigned ID to the coordinator cluster, and — for
   // cross-shard cross-enterprise transactions — to every cluster that
   // maintains the same data shard as us (§4.3.3).
-  xs.order_cert =
-      MakeCert(slot, v.block_digest, ConsensusValue::Kind::kXOrder);
-  xs.order_cert_known = true;
   if (!engine_->IsPrimary()) return;
   auto pd = std::make_shared<XPreparedMsg>();
   pd->from_cluster = cfg_.cluster_id;
@@ -125,7 +129,7 @@ void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
     pd->assignment = v.assignments.front();
   }
   pd->is_cluster_cert = true;
-  pd->cluster_cert = xs.order_cert;
+  pd->cluster_cert = std::move(order_cert);
   pd->wire_bytes = 160 + pd->cluster_cert.WireSize();
   pd->sig_verify_ops = static_cast<uint16_t>(pd->cluster_cert.sigs.size());
   Multicast(dir_->Cluster(coord).ordering, pd);
@@ -269,8 +273,8 @@ void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
     if (m.abort) {
       xs.prepared_clusters.clear();  // force abort path
     }
-    xs.prepared_clusters.insert(m.from_cluster);
-    xs.prepared_votes[m.from_cluster].insert(from);
+    xs.prepared_clusters.Insert(m.from_cluster);
+    xs.prepared_votes[m.from_cluster].Insert(from);
 
     // Cross-shard cross-enterprise: a non-initiator cluster that shares
     // the sender's shard validates the assignment and reports its own
@@ -294,7 +298,7 @@ void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
     }
     if (m.abort) {
       auto& nacks = xs.abort_votes[m.from_cluster];
-      nacks.insert(from);
+      nacks.Insert(from);
       // f+1 abort votes guarantee one correct node rejected the ID.
       if (xs.i_coordinate && !xs.abort_started && !xs.commit_started &&
           nacks.size() >= static_cast<size_t>(dir_->params.f) + 1 &&
@@ -309,9 +313,9 @@ void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
       return;
     }
     auto& votes = xs.prepared_votes[m.from_cluster];
-    votes.insert(from);
+    votes.Insert(from);
     if (votes.size() >= dir_->params.LocalMajority()) {
-      xs.prepared_clusters.insert(m.from_cluster);
+      xs.prepared_clusters.Insert(m.from_cluster);
     }
   }
   if (xs.i_coordinate) MaybeStartCommitPhase(xs);
@@ -326,7 +330,7 @@ void OrderingNode::MaybeStartCommitPhase(XState& xs) {
   // Every involved cluster must have prepared (the coordinator cluster
   // itself prepared when its internal consensus decided).
   for (int c : xs.involved) {
-    if (!xs.prepared_clusters.count(c)) return;
+    if (!xs.prepared_clusters.Contains(c)) return;
   }
   // All shards must have an assignment.
   const Transaction& probe = xs.block->txs.front();

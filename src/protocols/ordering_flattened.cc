@@ -179,7 +179,7 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
       }
     }
     xs.sent_accept = true;
-    xs.accepts[cfg_.cluster_id][id()] = acc->sig;
+    xs.accepts[cfg_.cluster_id].Put(id(), acc->sig);
     MaybeSendFCommit(xs);
     return;
   }
@@ -263,7 +263,7 @@ void OrderingNode::SendFAccept(XState& xs) {
       if (n != id()) Send(n, acc);
     }
     if (engine_->IsPrimary() && xs.i_coordinate) {
-      xs.accepts[cfg_.cluster_id][id()] = acc->sig;
+      xs.accepts[cfg_.cluster_id].Put(id(), acc->sig);
       MaybeSendFCommit(xs);
     }
     return;
@@ -273,7 +273,7 @@ void OrderingNode::SendFAccept(XState& xs) {
       if (n != id()) Send(n, acc);
     }
   }
-  xs.accepts[cfg_.cluster_id][id()] = acc->sig;
+  xs.accepts[cfg_.cluster_id].Put(id(), acc->sig);
   MaybeSendFCommit(xs);
 }
 
@@ -350,7 +350,7 @@ void OrderingNode::HandleFAccept(NodeId from, const FAcceptMsg& m) {
       return;
     }
   }
-  xs.accepts[m.from_cluster][from] = m.sig;
+  xs.accepts[m.from_cluster].Put(from, m.sig);
 
   if (xs.block != nullptr && FlattenedCftFastPath(xs)) {
     SendFAccept(xs);  // vote toward the initiator primary
@@ -367,8 +367,8 @@ void OrderingNode::MaybeSendFCommit(XState& xs) {
   }
   size_t quorum = dir_->params.LocalMajority();
   for (int c : xs.involved) {
-    auto it = xs.accepts.find(c);
-    if (it == xs.accepts.end() || it->second.size() < quorum) return;
+    const VoteSet* votes = xs.accepts.Find(c);
+    if (votes == nullptr || votes->size() < quorum) return;
   }
   const Transaction& probe = xs.block->txs.front();
   for (ShardId s : probe.shards) {
@@ -434,11 +434,12 @@ void OrderingNode::MaybeSendFCommit(XState& xs) {
       if (n != id()) Send(n, cm);
     }
   }
-  xs.commit_votes[cfg_.cluster_id][id()] = cm->sig;
+  xs.commit_votes[cfg_.cluster_id].Put(id(), cm->sig);
   for (const auto& [s2, a] : xs.assignments) {
-    auto& slot = xs.assignment_votes[a.alpha.shard][a.alpha.n];
-    slot.first = a;
-    slot.second.insert(id());
+    if (a.alpha.shard != cfg_.shard) continue;
+    auto& variant = xs.assignment_votes[a.alpha.n];
+    variant.first = a;
+    variant.second.Insert(id());
   }
   MaybeFCommitDone(xs);
 }
@@ -483,11 +484,12 @@ void OrderingNode::HandleFCommit(NodeId from, const FCommitMsg& m) {
     return;
   }
 
-  xs.commit_votes[m.from_cluster][from] = m.sig;
+  xs.commit_votes[m.from_cluster].Put(from, m.sig);
   for (const auto& a : m.assignments) {
-    auto& slot = xs.assignment_votes[a.alpha.shard][a.alpha.n];
-    slot.first = a;
-    slot.second.insert(from);
+    if (a.alpha.shard != cfg_.shard) continue;
+    auto& variant = xs.assignment_votes[a.alpha.n];
+    variant.first = a;
+    variant.second.Insert(from);
   }
   if (xs.block == nullptr) {
     // Commit votes for a block this replica never saw proposed: the
@@ -508,45 +510,40 @@ void OrderingNode::MaybeFCommitDone(XState& xs) {
   if (xs.done || !xs.sent_commit || xs.block == nullptr) return;
   size_t quorum = dir_->params.LocalMajority();
   for (int c : xs.involved) {
-    auto it = xs.commit_votes.find(c);
-    if (it == xs.commit_votes.end() || it->second.size() < quorum) return;
+    const VoteSet* votes = xs.commit_votes.Find(c);
+    if (votes == nullptr || votes->size() < quorum) return;
   }
   // Commit certificate: our own cluster's commit votes (they sign the
   // block digest directly).
   CommitCertificate cert;
   cert.block_digest = xs.digest;
   cert.direct = true;
-  for (const auto& [node, sig] : xs.commit_votes[cfg_.cluster_id]) {
+  for (const auto& [node, sig] : xs.commit_votes[cfg_.cluster_id].entries()) {
     cert.sigs.push_back(sig);
   }
   // Commit under the assignment a local-majority of its assigner cluster
   // endorsed, not under our local belief: a recovered replica that
   // self-assigned a stale sequence number while wrongly leading must not
   // append the block at that height.
-  auto av = xs.assignment_votes.find(cfg_.shard);
-  if (av != xs.assignment_votes.end()) {
-    size_t best = 0;
-    const ShardAssignment* winner = nullptr;
-    for (const auto& [n, variant] : av->second) {
-      const std::vector<NodeId>& assigner =
-          dir_->Cluster(variant.first.cluster).ordering;
-      size_t backing = 0;
-      for (NodeId v : variant.second) {
-        if (std::find(assigner.begin(), assigner.end(), v) !=
-            assigner.end()) {
-          ++backing;
-        }
-      }
-      if (backing >= dir_->params.LocalMajority() && backing > best) {
-        best = backing;
-        winner = &variant.first;
+  size_t best = 0;
+  const ShardAssignment* winner = nullptr;
+  for (const auto& [n, variant] : xs.assignment_votes) {
+    const std::vector<NodeId>& assigner =
+        dir_->Cluster(variant.first.cluster).ordering;
+    size_t backing = 0;
+    for (NodeId v : variant.second) {
+      if (std::find(assigner.begin(), assigner.end(), v) != assigner.end()) {
+        ++backing;
       }
     }
-    if (winner != nullptr &&
-        !(xs.assignments[cfg_.shard] == *winner)) {
-      env()->metrics.Inc("cross.assignment_corrected");
-      xs.assignments[cfg_.shard] = *winner;
+    if (backing >= dir_->params.LocalMajority() && backing > best) {
+      best = backing;
+      winner = &variant.first;
     }
+  }
+  if (winner != nullptr && !(xs.assignments[cfg_.shard] == *winner)) {
+    env()->metrics.Inc("cross.assignment_corrected");
+    xs.assignments[cfg_.shard] = *winner;
   }
   RecordOutcome(xs, cert, false);
   auto mine = xs.assignments.find(cfg_.shard);

@@ -24,15 +24,10 @@ OrderingNode::OrderingNode(Env* env, const Directory* dir,
           },
           [this](const FlowKey& key, std::vector<Transaction> txs,
                  BatchClose why) { OnBatchClosed(key, std::move(txs), why); }) {
-  // The dedup tables sit on the per-request hot path. A modest seed
-  // reservation skips the first few growth rebuilds; further growth is
-  // amortized (each rebuild is a flat copy), which beats the old
-  // megabyte-scale up-front reservations — zeroing those dominated
-  // node construction and wrecked cache locality for the common small
-  // case.
-  seen_requests_.reserve(1 << 10);
-  observed_requests_.reserve(1 << 10);
-  committed_requests_.reserve(1 << 10);
+  // The dedup tables sit on the per-request hot path but start empty:
+  // growth is amortized (each rebuild is a flat copy), and an up-front
+  // reservation per table per node was nearly all of a deployment's
+  // set-up allocation while saving only the first few rebuilds.
   EngineContext ctx;
   ctx.env = env;
   ctx.self = id();
@@ -894,6 +889,29 @@ void OrderingNode::FinishCross(XState& xs, bool committed) {
   if (committed && dir_->params.family == ProtocolFamily::kFlattened) {
     RequeueArbitrationLosers(xs);
   }
+  // Only the certified outcome outlives the instance (§4.3.4 commit
+  // queries); its votes would otherwise hold most of a long run's heap.
+  xs.ReleaseVotes();
+}
+
+void OrderingNode::XState::ReleaseVotes() {
+  // Move-assigning an empty container frees its storage; clear() would
+  // keep the capacity.
+  prepared_votes = {};
+  abort_votes = {};
+  prepared_clusters = {};
+  accepts = {};
+  commit_votes = {};
+  assignment_votes = {};
+  pending_fast_commit = nullptr;
+  order_cert.sigs = std::vector<Signature>();
+}
+
+bool OrderingNode::XState::HoldsNoVotes() const {
+  return prepared_votes.empty() && abort_votes.empty() &&
+         prepared_clusters.empty() && accepts.empty() &&
+         commit_votes.empty() && assignment_votes.empty() &&
+         pending_fast_commit == nullptr && order_cert.sigs.empty();
 }
 
 void OrderingNode::RequeueArbitrationLosers(const XState& winner) {

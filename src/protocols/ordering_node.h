@@ -86,7 +86,10 @@ class OrderingNode : public Actor {
     }
   };
 
-  // Cross-cluster protocol state for one in-flight block.
+  // Cross-cluster protocol state for one block. A finished instance
+  // (done) keeps only what answers a §4.3.4 commit query — block,
+  // assignments, certified outcome — and what FinishCross reads. The
+  // vote tables are sorted flat vectors, iterated in ascending key order.
   struct XState {
     BlockPtr block;
     Sha256Digest digest;
@@ -98,21 +101,21 @@ class OrderingNode : public Actor {
     // Assignments collected per shard (keyed by shard id).
     std::map<ShardId, ShardAssignment> assignments;
     // Coordinator-side prepared bookkeeping: cluster -> voters.
-    std::map<int, std::set<NodeId>> prepared_votes;
-    std::map<int, std::set<NodeId>> abort_votes;
-    std::set<int> prepared_clusters;
+    FlatMap<int, SortedVec<NodeId>> prepared_votes;
+    FlatMap<int, SortedVec<NodeId>> abort_votes;
+    SortedVec<int> prepared_clusters;
     bool commit_started = false;
     bool abort_started = false;
-    // Flattened bookkeeping.
-    std::map<int, std::map<NodeId, Signature>> accepts;
-    std::map<int, std::map<NodeId, Signature>> commit_votes;
-    // Per-shard assignment endorsements carried on commit votes: keyed
-    // by the claimed sequence number, with the endorsing nodes. Commit
-    // adopts the variant a local-majority of the assigner cluster backs —
-    // a node's own belief may be a stale self-assignment from a crashed
-    // life, and committing under it diverges the shared chain.
-    std::map<ShardId, std::map<SeqNo, std::pair<ShardAssignment,
-                                                std::set<NodeId>>>>
+    // Flattened bookkeeping: cluster -> voter -> signature.
+    FlatMap<int, VoteSet> accepts;
+    FlatMap<int, VoteSet> commit_votes;
+    // Endorsements of this node's own shard's assignment carried on
+    // commit votes: keyed by the claimed sequence number, with the
+    // endorsing nodes. Commit adopts the variant a local-majority of the
+    // assigner cluster backs — a node's own belief may be a stale
+    // self-assignment from a crashed life, and committing under it
+    // diverges the shared chain.
+    FlatMap<SeqNo, std::pair<ShardAssignment, SortedVec<NodeId>>>
         assignment_votes;
     bool sent_accept = false;
     bool sent_commit = false;
@@ -136,6 +139,12 @@ class OrderingNode : public Actor {
     bool timer_armed = false;
     SimTime started_at = 0;
     int retries = 0;
+
+    /// Frees the vote tables, the held fast-path commit and the kXOrder
+    /// signatures. Every reader of these returns on `done` first.
+    void ReleaseVotes();
+    /// True when no vote is held (auditor and test surface).
+    bool HoldsNoVotes() const;
   };
 
   static constexpr uint64_t kTagBatch = 1;

@@ -73,12 +73,6 @@ class RequestTable {
 
   size_t size() const { return size_; }
 
-  void reserve(size_t n) {
-    size_t want = kMinCapacity;
-    while (want < n * 2) want <<= 1;
-    if (want > slots_.size()) Rehash(want);
-  }
-
  private:
   static size_t Hash(const RequestId& id) {
     return static_cast<size_t>(

@@ -2,9 +2,11 @@
 #define QANAAT_QANAAT_SYSTEM_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "collections/data_model.h"
+#include "common/rng.h"
 #include "firewall/firewall.h"
 #include "protocols/context.h"
 #include "protocols/ordering_node.h"
@@ -79,6 +81,7 @@ class QanaatSystem {
   std::vector<std::vector<std::unique_ptr<ExecutionNode>>> execution_;
   std::vector<std::vector<std::vector<std::unique_ptr<FilterNode>>>> filters_;
   std::vector<std::unique_ptr<ClientMachine>> clients_;
+  std::optional<Zipf> client_zipf_;  // key distribution of the last client
   uint64_t client_seed_ = 7777;
 };
 

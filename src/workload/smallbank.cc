@@ -7,11 +7,14 @@ namespace qanaat {
 SmallBankWorkload::SmallBankWorkload(const DataModel* model,
                                      const Directory* dir,
                                      WorkloadParams params, Rng rng)
-    : model_(model),
-      dir_(dir),
-      params_(params),
-      rng_(rng),
-      zipf_(params.accounts_per_shard, params.zipf_s) {
+    : SmallBankWorkload(model, dir, params, rng,
+                        Zipf(params.accounts_per_shard, params.zipf_s)) {}
+
+SmallBankWorkload::SmallBankWorkload(const DataModel* model,
+                                     const Directory* dir,
+                                     WorkloadParams params, Rng rng,
+                                     const Zipf& zipf)
+    : model_(model), dir_(dir), params_(params), rng_(rng), zipf_(zipf) {
   for (const auto& c : model_->Collections()) {
     if (c.members.size() > 1) shared_collections_.push_back(c);
   }

@@ -47,6 +47,10 @@ class SmallBankWorkload {
  public:
   SmallBankWorkload(const DataModel* model, const Directory* dir,
                     WorkloadParams params, Rng rng);
+  /// As above, with a key distribution built once for many workloads;
+  /// `zipf` must equal Zipf(params.accounts_per_shard, params.zipf_s).
+  SmallBankWorkload(const DataModel* model, const Directory* dir,
+                    WorkloadParams params, Rng rng, const Zipf& zipf);
 
   /// Draws the next transaction. `client` / `client_ts` identify it for
   /// reply matching; the signature is left unset (the client machine

@@ -1,9 +1,12 @@
-// Cross-shard conflict resolution (§4.3.5) and pull-based executor state
-// transfer: digest-priority arbitration of symmetric rival claims, loser
-// re-proposal, and the firewall-routed StateRequest/StateReply path a
+// Cross-shard conflict resolution (§4.3.5), finished cross instances and
+// the §4.3.4 commit query, and pull-based executor state transfer:
+// digest-priority arbitration of symmetric rival claims, loser
+// re-proposal, what a finished instance keeps, a replica catching up on
+// a lost commit, and the firewall-routed StateRequest/StateReply path a
 // gapped execution node uses to converge.
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -201,8 +204,7 @@ TEST(LiveCrossSetTest, CorpusRunsKeepTheInvariantAtEveryAudit) {
   }
 }
 
-// ----------------------------- pull-based executor state transfer
-
+/// Flt-B(PF): Byzantine clusters behind the privacy firewall, flattened.
 SystemParams FirewallParams() {
   SystemParams p;
   p.num_enterprises = 2;
@@ -212,6 +214,120 @@ SystemParams FirewallParams() {
   p.family = ProtocolFamily::kFlattened;
   return p;
 }
+
+// ------------------------- finished instances keep only the outcome
+
+/// Walks every ordering node's instance table: a finished instance must
+/// have released its votes and kept what answers a §4.3.4 commit query.
+/// Returns how many finished instances it saw.
+size_t CheckFinishedInstances(QanaatSystem& sys) {
+  size_t finished = 0;
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    for (size_t i = 0; i < sys.directory().Cluster(c).ordering.size(); ++i) {
+      const OrderingNode* node = sys.ordering_node(c, static_cast<int>(i));
+      for (const auto& [d, xs] : node->cross_states()) {
+        if (!xs.done) continue;
+        ++finished;
+        EXPECT_TRUE(xs.HoldsNoVotes()) << node->name();
+        EXPECT_NE(xs.block, nullptr) << node->name();
+        EXPECT_TRUE(xs.outcome_known) << node->name();
+      }
+    }
+  }
+  return finished;
+}
+
+size_t RunAndCheckFinishedInstances(SystemParams p, CrossKind kind) {
+  p.num_enterprises = 2;
+  p.shards_per_enterprise = 2;
+  QanaatSystem::Options opts;
+  opts.params = p;
+  opts.seed = 5;
+  QanaatSystem sys(std::move(opts));
+  WorkloadParams wl;
+  wl.cross_kind = kind;
+  wl.cross_fraction = 0.5;
+  ClientMachine* client = sys.AddClient(wl, 400);
+  client->Start(0, 600 * kMillisecond, 0, 600 * kMillisecond);
+  sys.env().sim.Run(1500 * kMillisecond);
+  EXPECT_GT(client->measured_commits(), 100u);
+  static const std::set<NodeId> kNone;
+  Status st = SafetyAuditor::AuditQanaat(sys, true, &kNone);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return CheckFinishedInstances(sys);
+}
+
+TEST(FinishedInstanceTest, FlattenedRunKeepsOnlyTheOutcome) {
+  size_t finished = RunAndCheckFinishedInstances(
+      FirewallParams(), CrossKind::kCrossShardCrossEnterprise);
+  EXPECT_GT(finished, 0u);
+}
+
+TEST(FinishedInstanceTest, CoordinatorRunKeepsOnlyTheOutcome) {
+  SystemParams p;
+  p.failure_model = FailureModel::kCrash;
+  p.family = ProtocolFamily::kCoordinator;
+  size_t finished =
+      RunAndCheckFinishedInstances(p, CrossKind::kCrossShardIntraEnterprise);
+  EXPECT_GT(finished, 0u);
+}
+
+// ----------------------------------------- §4.3.4 commit query
+
+TEST(CommitQueryTest, ReplicaThatLostTheCommitCatchesUpFromAFinishedPeer) {
+  // One flattened cross-enterprise transaction. Every FCommit bound for
+  // one replica of the second enterprise is swallowed, so it never sees
+  // a commit-vote quorum. Its cross timer fires and it queries the
+  // coordinator cluster, whose finished instances have already released
+  // their votes. The answer (block, assignments, certified outcome) is
+  // all it needs to append the block.
+  QanaatSystem::Options so;
+  so.params = FirewallParams();
+  so.params.use_firewall = false;
+  so.seed = 19;
+  QanaatSystem sys(std::move(so));
+  ClientStub stub(&sys.env());
+  NodeId victim = sys.directory().Cluster(1).ordering[1];
+  Network::LinkFault swallow;
+  swallow.silence_mask = Network::LinkFault::TypeBit(MsgType::kFCommit);
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    for (NodeId n : sys.directory().Cluster(c).ordering) {
+      if (n != victim) sys.net().SetLinkFault(n, victim, swallow);
+    }
+  }
+
+  CollectionId shared(EnterpriseSet{0, 1});
+  auto req = std::make_shared<RequestMsg>();
+  req->tx.client = stub.id();
+  req->tx.client_ts = 1;
+  req->tx.collection = shared;
+  req->tx.shards = {0};
+  req->tx.initiator = 0;
+  req->tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 1, 5, {}});
+  req->tx.client_sig = sys.env().keystore.Sign(stub.id(), req->tx.Digest());
+  sys.net().Send(stub.id(), sys.directory().Cluster(0).InitialPrimary(),
+                 req);
+  sys.env().sim.Run(2 * kSecond);
+
+  EXPECT_GT(sys.env().metrics.Get("cross.query_answered"), 0u);
+  // The answer's certificate verified: the outcome survived the release.
+  EXPECT_EQ(sys.env().metrics.Get("cross.bad_commit"), 0u);
+  ShardRef ref{shared, 0};
+  const DagLedger& caught_up = sys.ordering_node(1, 1)->exec_core().ledger();
+  ASSERT_EQ(caught_up.ChainOf(ref).size(), 1u);
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    const DagLedger& led = sys.ordering_node(c, 0)->exec_core().ledger();
+    ASSERT_EQ(led.ChainOf(ref).size(), 1u) << "cluster " << c;
+    EXPECT_EQ(led.entry(led.ChainOf(ref)[0]).block->Digest(),
+              caught_up.entry(caught_up.ChainOf(ref)[0]).block->Digest());
+  }
+  static const std::set<NodeId> kNone;
+  Status st = SafetyAuditor::AuditQanaat(sys, true, &kNone);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  CheckFinishedInstances(sys);
+}
+
+// ----------------------------- pull-based executor state transfer
 
 TEST(ExecutorPullTest, CrashedExecutorRecoversThroughFilterRows) {
   QanaatSystem::Options opts;
